@@ -481,6 +481,10 @@ func runLocal(ctx context.Context, cs *caseSetup, out, cpPath string, cpEvery in
 		}
 	}
 
+	// The persistent worker pool steps the in-place AA kernel; EnableAA
+	// (inside NewPool) adopts a restored checkpoint at either step parity.
+	pool := core.NewPool(lat, 0)
+	defer pool.Close()
 	bcs := cs.bcs()
 	fmt.Printf("%s: %d×%d×%d cells, tau=%.4f, %d steps, %d fluid cells\n",
 		cs.cfg.Name, lat.NX, lat.NY, lat.NZ, lat.Tau, cs.cfg.Steps, lat.FluidCells())
@@ -507,7 +511,7 @@ func runLocal(ctx context.Context, cs *caseSetup, out, cpPath string, cpEvery in
 		}
 		bcs.Apply(lat)
 		mon.StepStart()
-		lat.StepFusedParallel(0)
+		pool.Step()
 		mon.StepEnd()
 		if endStep != nil {
 			endStep()

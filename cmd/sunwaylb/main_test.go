@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -135,5 +136,44 @@ func TestCLISmoke(t *testing.T) {
 	if _, err := exec.Command(bin, "-preset", "cavity", "-decomp", "patch",
 		"-patch-tiles", "2x2").CombinedOutput(); err == nil {
 		t.Error("malformed -patch-tiles must exit non-zero")
+	}
+}
+
+// TestCLIRestoreResumesBitIdentical checks local runs, which step the
+// in-place AA kernel, checkpoint and resume at either storage parity: a
+// run stopped after an odd (then an even) number of steps and resumed
+// with -restore must end in a final checkpoint byte-identical to an
+// uninterrupted run's.
+func TestCLIRestoreResumesBitIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	run := func(args ...string) {
+		t.Helper()
+		base := []string{"-preset", "channel", "-nx", "12", "-ny", "8", "-nz", "8"}
+		if out, err := exec.Command(bin, append(base, args...)...).CombinedOutput(); err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, out)
+		}
+	}
+	full := filepath.Join(dir, "full.cpk")
+	run("-steps", "12", "-checkpoint", full)
+	want, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stop := range []string{"7", "6"} {
+		half := filepath.Join(dir, "half"+stop+".cpk")
+		resumed := filepath.Join(dir, "resumed"+stop+".cpk")
+		run("-steps", stop, "-checkpoint", half)
+		run("-steps", "12", "-restore", half, "-checkpoint", resumed)
+		got, err := os.ReadFile(resumed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("stopped at step %s and resumed: final checkpoint differs from the uninterrupted run", stop)
+		}
 	}
 }

@@ -34,9 +34,12 @@ func TestTrafficEstimatesRepo(t *testing.T) {
 			"stepAAEvenD3Q19":   {Bytes: 0, Budget: 360},
 			"stepAAOddD3Q19":    {Bytes: 0, Budget: 360},
 			"aaRowD3Q19Scalar":  {Bytes: 304, Budget: 360},
-			"PeriodicAxis":      {Bytes: 610, Budget: 616},
-			"PackFace":          {Bytes: 304, Budget: 320},
-			"UnpackFace":        {Bytes: 305, Budget: 320},
+			// Table-driven halo copies, priced per table entry: the slot
+			// tables themselves cost one 8-byte read per side (the wrap
+			// copies both directions of an axis per entry).
+			"wrapSlots":    {Bytes: 64, Budget: 64},
+			"gatherSlots":  {Bytes: 24, Budget: 24},
+			"scatterSlots": {Bytes: 24, Budget: 24},
 		},
 		"../swlb": {
 			"Step": {Bytes: 4, Budget: 8},

@@ -12,6 +12,7 @@ package boundary
 
 import (
 	"fmt"
+	"math"
 
 	"sunwaylb/internal/core"
 	"sunwaylb/internal/lattice"
@@ -46,41 +47,34 @@ func (s *Set) Apply(l *core.Lattice) {
 // Len reports the number of conditions.
 func (s *Set) Len() int { return len(s.conds) }
 
-// faceHalo iterates over the halo cells of a face, calling fn with the
-// halo cell index and the index of the adjacent cell one step inward
-// (normal direction). The iteration covers the FULL allocated plane,
+// faceSlots is what a face condition walks: the halo cells of one face
+// and the Src() slots of their logical populations (halo[i*n+k] is
+// population i of the k-th of the n cells) and of their inward
+// neighbours' (inner[i*n+k]). The cells cover the FULL allocated plane,
 // including the halo edges and corners shared with other faces — D3Q19
 // streaming pulls diagonally from those edge cells, so they must be owned
 // by some condition. Where two faces meet, whichever condition is applied
 // later wins; put wall-type conditions last for watertight corners.
-func faceHalo(l *core.Lattice, f core.Face, fn func(halo, inner int)) {
-	ax, ay, az := l.AX, l.AY, l.AZ
-	plane := func(haloOf func(a, b int) int, innerOf func(a, b int) int, na, nb int) {
-		for a := 0; a < na; a++ {
-			for b := 0; b < nb; b++ {
-				fn(haloOf(a, b), innerOf(a, b))
-			}
-		}
-	}
-	switch f {
-	case core.FaceXMin:
-		plane(func(y, z int) int { return (y*ax+0)*az + z },
-			func(y, z int) int { return (y*ax+1)*az + z }, ay, az)
-	case core.FaceXMax:
-		plane(func(y, z int) int { return (y*ax+ax-1)*az + z },
-			func(y, z int) int { return (y*ax+ax-2)*az + z }, ay, az)
-	case core.FaceYMin:
-		plane(func(x, z int) int { return (0*ax+x)*az + z },
-			func(x, z int) int { return (1*ax+x)*az + z }, ax, az)
-	case core.FaceYMax:
-		plane(func(x, z int) int { return ((ay-1)*ax+x)*az + z },
-			func(x, z int) int { return ((ay-2)*ax+x)*az + z }, ax, az)
-	case core.FaceZMin:
-		plane(func(y, x int) int { return (y*ax+x)*az + 0 },
-			func(y, x int) int { return (y*ax+x)*az + 1 }, ay, ax)
-	case core.FaceZMax:
-		plane(func(y, x int) int { return (y*ax+x)*az + az - 1 },
-			func(y, x int) int { return (y*ax+x)*az + az - 2 }, ay, ax)
+//
+// The slots come from the lattice's per-phase face tables, so the loops
+// below are straight copies at either AA storage parity. A halo cell's
+// slots and its inner neighbour's are disjoint (the slot map is a
+// bijection), so reading one while writing the other is order-safe.
+type faceSlots struct {
+	cells, halo, inner []int
+}
+
+func slotsOf(l *core.Lattice, f core.Face) faceSlots {
+	cells, halo := l.FaceSlots(f, 1)
+	_, inner := l.FaceSlots(f, 0)
+	return faceSlots{cells: cells, halo: halo, inner: inner}
+}
+
+// ghost marks every halo cell of the face Ghost (a no-op after the
+// first step: the geometry is static).
+func (fs faceSlots) ghost(l *core.Lattice) {
+	for _, halo := range fs.cells {
+		l.SetFlag(halo, core.Ghost)
 	}
 }
 
@@ -101,6 +95,12 @@ type VelocityInlet struct {
 func (v *VelocityInlet) Name() string { return fmt.Sprintf("velocity-inlet(%v)", v.Face) }
 
 // Apply implements Condition.
+//
+// Per-cell traffic on the profile path (the uniform path writes one
+// population per table entry): Q table reads + Q population writes, plus
+// the profile callback's coordinates.
+//
+//lbm:hot traffic budget=312 assume q=19
 func (v *VelocityInlet) Apply(l *core.Lattice) {
 	rho := v.Rho
 	if rho == 0 {
@@ -108,35 +108,43 @@ func (v *VelocityInlet) Apply(l *core.Lattice) {
 	}
 	src := l.Src()
 	q := l.Desc.Q
-	feq := make([]float64, q)
+	var feqArr [core.MaxQ]float64
+	feq := feqArr[:q]
+	fs := slotsOf(l, v.Face)
+	n := len(fs.cells)
 	if v.Profile == nil {
+		// Uniform inlet: one equilibrium, written population by
+		// population along the table.
 		l.Desc.EquilibriumAll(feq, rho, v.U[0], v.U[1], v.U[2])
-		faceHalo(l, v.Face, func(halo, _ int) {
-			for i := 0; i < q; i++ {
-				src[l.PopIndex(i, halo)] = feq[i]
+		for i := 0; i < q; i++ {
+			fi := feq[i]
+			for _, s := range fs.halo[i*n : i*n+n] {
+				src[s] = fi
 			}
-			l.Flags[halo] = core.Ghost
-		})
+		}
+		fs.ghost(l)
 		return
 	}
-	clamp := func(v, n int) int {
-		if v < 0 {
-			return 0
-		}
-		if v >= n {
-			return n - 1
-		}
-		return v
-	}
-	faceHalo(l, v.Face, func(halo, _ int) {
+	for k, halo := range fs.cells {
 		x, y, z := l.Coords(halo)
 		u := v.Profile(clamp(x, l.NX), clamp(y, l.NY), clamp(z, l.NZ))
 		l.Desc.EquilibriumAll(feq, rho, u[0], u[1], u[2])
 		for i := 0; i < q; i++ {
-			src[l.PopIndex(i, halo)] = feq[i]
+			src[fs.halo[i*n+k]] = feq[i]
 		}
-		l.Flags[halo] = core.Ghost
-	})
+	}
+	fs.ghost(l)
+}
+
+// clamp limits a halo coordinate to the interior range [0, n).
+func clamp(v, n int) int {
+	if v < 0 {
+		return 0
+	}
+	if v >= n {
+		return n - 1
+	}
+	return v
 }
 
 // PressureOutlet imposes a density (pressure p = ρ c_s²) on a face; the
@@ -149,36 +157,74 @@ type PressureOutlet struct {
 // Name implements Condition.
 func (p *PressureOutlet) Name() string { return fmt.Sprintf("pressure-outlet(%v)", p.Face) }
 
+// outletBlock is the number of face cells PressureOutlet processes per
+// pass, sized so the per-cell moment scratch stays on the stack.
+const outletBlock = 64
+
 // Apply implements Condition.
+//
+// The face is walked in blocks of cells, population by population: the
+// moments of a block accumulate along the table rows (consecutive z
+// cells, consecutive slots), then each population plane of the block's
+// equilibrium is written in one sweep. Per cell, each population is
+// still summed in ascending order and the equilibrium is
+// lattice.Descriptor.EquilibriumAll's expression, so the result is
+// bit-identical to a cell-by-cell loop.
+//
+// Per-cell traffic: Q (table + population) reads for the inward
+// neighbour's moments, Q (table read + population write) for the halo.
+//
+//lbm:hot traffic budget=608 assume q=19
 func (p *PressureOutlet) Apply(l *core.Lattice) {
 	rho := p.Rho
 	if rho == 0 {
 		rho = 1
 	}
 	src := l.Src()
-	q := l.Desc.Q
 	d := l.Desc
-	feq := make([]float64, q)
-	faceHalo(l, p.Face, func(halo, inner int) {
-		var r, jx, jy, jz float64
+	q := d.Q
+	fs := slotsOf(l, p.Face)
+	n := len(fs.cells)
+	// r holds the density, then 1 − 1.5|u|²; jx..jz the momentum, then
+	// the velocity.
+	var r, jx, jy, jz [outletBlock]float64
+	for k0 := 0; k0 < n; k0 += outletBlock {
+		m := min(outletBlock, n-k0)
+		clear(r[:m])
+		clear(jx[:m])
+		clear(jy[:m])
+		clear(jz[:m])
 		for i := 0; i < q; i++ {
-			fi := src[l.PopIndex(i, inner)]
-			r += fi
 			c := d.C[i]
-			jx += fi * float64(c[0])
-			jy += fi * float64(c[1])
-			jz += fi * float64(c[2])
+			cx, cy, cz := float64(c[0]), float64(c[1]), float64(c[2])
+			for k, s := range fs.inner[i*n+k0 : i*n+k0+m] {
+				fi := src[s]
+				r[k] += fi
+				jx[k] += fi * cx
+				jy[k] += fi * cy
+				jz[k] += fi * cz
+			}
 		}
-		var ux, uy, uz float64
-		if r > 0 {
-			ux, uy, uz = jx/r, jy/r, jz/r
+		for k := 0; k < m; k++ {
+			var ux, uy, uz float64
+			if r[k] > 0 {
+				ux, uy, uz = jx[k]/r[k], jy[k]/r[k], jz[k]/r[k]
+			}
+			jx[k], jy[k], jz[k] = ux, uy, uz
+			r[k] = 1 - 1.5*math.FMA(uz, uz, math.FMA(uy, uy, ux*ux))
 		}
-		d.EquilibriumAll(feq, rho, ux, uy, uz)
 		for i := 0; i < q; i++ {
-			src[l.PopIndex(i, halo)] = feq[i]
+			c := d.C[i]
+			cx, cy, cz := float64(c[0]), float64(c[1]), float64(c[2])
+			wr := d.W[i] * rho
+			for k, s := range fs.halo[i*n+k0 : i*n+k0+m] {
+				cu := cx*jx[k] + cy*jy[k] + cz*jz[k]
+				h := 4.5 * cu
+				src[s] = wr * (math.FMA(h, cu, r[k]) + 3*cu)
+			}
 		}
-		l.Flags[halo] = core.Ghost
-	})
+	}
+	fs.ghost(l)
 }
 
 // Outflow is a zero-gradient (copy) outflow: the halo mirrors the adjacent
@@ -191,15 +237,18 @@ type Outflow struct {
 func (o *Outflow) Name() string { return fmt.Sprintf("outflow(%v)", o.Face) }
 
 // Apply implements Condition.
+//
+// Per-slot traffic: two table reads + one population read + one write.
+//
+//lbm:hot traffic budget=32 assume q=19
 func (o *Outflow) Apply(l *core.Lattice) {
 	src := l.Src()
-	q := l.Desc.Q
-	faceHalo(l, o.Face, func(halo, inner int) {
-		for i := 0; i < q; i++ {
-			src[l.PopIndex(i, halo)] = src[l.PopIndex(i, inner)]
-		}
-		l.Flags[halo] = core.Ghost
-	})
+	fs := slotsOf(l, o.Face)
+	inner := fs.inner[:len(fs.halo)]
+	for t, s := range fs.halo {
+		src[s] = src[inner[t]]
+	}
+	fs.ghost(l)
 }
 
 // NoSlip marks the halo of a face as a solid wall, turning the face into a
@@ -212,10 +261,16 @@ type NoSlip struct {
 func (w *NoSlip) Name() string { return fmt.Sprintf("no-slip(%v)", w.Face) }
 
 // Apply implements Condition.
+//
+// Per-cell traffic: one cell-table read (the flag write is a no-op
+// after the first step).
+//
+//lbm:hot traffic budget=8 assume q=19
 func (w *NoSlip) Apply(l *core.Lattice) {
-	faceHalo(l, w.Face, func(halo, _ int) {
-		l.Flags[halo] = core.Wall
-	})
+	cells := l.FaceLayerCells(w.Face, 1)
+	for _, halo := range cells {
+		l.SetFlag(halo, core.Wall)
+	}
 }
 
 // MovingNoSlip is a bounce-back plate moving tangentially with velocity U
@@ -230,12 +285,13 @@ func (w *MovingNoSlip) Name() string { return fmt.Sprintf("moving-no-slip(%v)", 
 
 // Apply implements Condition.
 func (w *MovingNoSlip) Apply(l *core.Lattice) {
-	faceHalo(l, w.Face, func(halo, _ int) {
+	cells := l.FaceLayerCells(w.Face, 1)
+	for _, halo := range cells {
 		if l.Flags[halo] != core.MovingWall {
 			x, y, z := l.Coords(halo)
 			l.SetMovingWall(x, y, z, w.U[0], w.U[1], w.U[2])
 		}
-	})
+	}
 }
 
 // FreeSlip is a specular-reflection plane: the halo receives the interior
@@ -249,6 +305,10 @@ type FreeSlip struct {
 func (fs *FreeSlip) Name() string { return fmt.Sprintf("free-slip(%v)", fs.Face) }
 
 // Apply implements Condition.
+//
+// Per-slot traffic: two table reads + one population read + one write.
+//
+//lbm:hot traffic budget=32 assume q=19
 func (fs *FreeSlip) Apply(l *core.Lattice) {
 	axis := 0
 	switch fs.Face {
@@ -260,12 +320,15 @@ func (fs *FreeSlip) Apply(l *core.Lattice) {
 	mirror := mirrorTable(l.Desc, axis)
 	src := l.Src()
 	q := l.Desc.Q
-	faceHalo(l, fs.Face, func(halo, inner int) {
-		for i := 0; i < q; i++ {
-			src[l.PopIndex(i, halo)] = src[l.PopIndex(mirror[i], inner)]
+	t := slotsOf(l, fs.Face)
+	n := len(t.cells)
+	for i := 0; i < q; i++ {
+		from := t.inner[mirror[i]*n : mirror[i]*n+n]
+		for k, s := range t.halo[i*n : i*n+n] {
+			src[s] = src[from[k]]
 		}
-		l.Flags[halo] = core.Ghost
-	})
+	}
+	t.ghost(l)
 }
 
 // Periodic wraps one axis (0=x, 1=y, 2=z) periodically each step.

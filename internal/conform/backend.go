@@ -265,7 +265,8 @@ func swlbStages() []struct {
 }
 
 // psolveBackend runs the case on a px×py rank grid through the in-process
-// mpi world. kernel selects the local compute kernel ("" = fused).
+// mpi world. kernel selects the local compute kernel ("" = psolve's
+// default AA kernel, "fused" = the A–B double buffer).
 func psolveBackend(name string, px, py int, onTheFly bool, kernel string) Backend {
 	return Backend{Name: name, Run: func(c *Case) (*core.MacroField, error) {
 		if c.NX < px || c.NY < py {
@@ -292,12 +293,13 @@ func stepperBackend(name string, stepper func(l *core.Lattice) (psolve.Stepper, 
 //
 //   - serial kernel variants (unfused two-pass, data-parallel fused),
 //   - the in-place AA-pattern kernel: plain, cache-blocked and through
-//     the persistent worker pool, plus a distributed run on AA ranks,
+//     the persistent worker pool,
 //   - the single-rank distributed solver (validates the mpi plumbing),
 //   - every swlb optimization stage on a simulated Sunway core group,
 //   - the GPU node model,
 //   - multi-rank 1-D and 2-D decompositions at 2, 4 and 8 ranks,
-//     sequential and on-the-fly, plus stitched 3-D block decompositions,
+//     sequential and on-the-fly, on psolve's default AA kernel and (2×2)
+//     on the A–B kernel, plus stitched 3-D block decompositions,
 //   - the patch-decomposed world: homogeneous, mixed core/swlb/gpu
 //     owners, and mixed owners with a forced migration after every step.
 func Backends() []Backend {
@@ -323,7 +325,9 @@ func Backends() []Backend {
 		psolveBackend("psolve/4x1", 4, 1, false, ""),
 		psolveBackend("psolve/2x2", 2, 2, false, ""),
 		psolveBackend("psolve/2x2-onthefly", 2, 2, true, ""),
-		psolveBackend("psolve/2x2-aa", 2, 2, false, "aa"),
+		psolveBackend("psolve/2x1-onthefly", 2, 1, true, ""),
+		psolveBackend("psolve/2x2-fused", 2, 2, false, "fused"),
+		psolveBackend("psolve/2x2-onthefly-fused", 2, 2, true, "fused"),
 		psolveBackend("psolve/8x1", 8, 1, false, ""),
 		psolveBackend("psolve/4x2", 4, 2, false, ""),
 		{Name: "block3d/1x1x2", Run: func(c *Case) (*core.MacroField, error) { return c.RunBlocks3D(1, 1, 2) }},

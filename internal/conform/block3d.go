@@ -20,7 +20,10 @@ import (
 // Per-step ordering mirrors psolve exactly so halo corners resolve
 // identically: z halos first (neighbour exchange, or the local periodic
 // wrap when pz=1), then the global-face conditions of edge blocks, then
-// the x exchange, then the y exchange. Pack/UnpackFace cover the full
+// the x exchange, then the y exchange. The z exchange moves whole cells
+// (Pack/UnpackLayer) because the face conditions after it read z halo
+// cells as inner neighbours; x and y move only the crossing populations
+// (Pack/UnpackFace), as psolve's wire does. Both cover the full
 // allocated tangential extent, so running the axes in sequence propagates
 // edge and corner values transitively exactly as the 2-D solver does.
 type blockGrid struct {
@@ -156,6 +159,14 @@ func (g *blockGrid) transfer(src, dst int, face core.Face) {
 	ls, ld := g.lats[src], g.lats[dst]
 	n := ls.FaceCells(face)
 	q := ls.Desc.Q
+	if face == core.FaceZMin || face == core.FaceZMax {
+		// The z exchange runs before the face conditions, which read
+		// the z halo as inner neighbours: whole cells, as the periodic
+		// z wrap it replaces.
+		ls.PackLayer(face, g.buf[:n*q], g.flags[:n])
+		ld.UnpackLayer(opp, g.buf[:n*q], g.flags[:n])
+		return
+	}
 	ls.PackFace(face, g.buf[:n*q], g.flags[:n])
 	ld.UnpackFace(opp, g.buf[:n*q], g.flags[:n])
 }

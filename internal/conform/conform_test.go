@@ -117,6 +117,7 @@ func TestBackendNamesCoverIssueMatrix(t *testing.T) {
 		"core/unfused", "core/parallel",
 		"psolve/1x1", "psolve/2x1", "psolve/1x2", "psolve/4x1",
 		"psolve/2x2", "psolve/2x2-onthefly", "psolve/8x1", "psolve/4x2",
+		"psolve/2x1-onthefly", "psolve/2x2-fused", "psolve/2x2-onthefly-fused",
 		"block3d/1x1x2", "block3d/1x2x2", "block3d/2x2x2",
 		"gpu/node",
 		"swlb/mpe-baseline", "swlb/cpe-unfused", "swlb/cpe-fused",

@@ -120,3 +120,32 @@ func TestMatrixPerRegime(t *testing.T) {
 		}
 	}
 }
+
+// TestMatrixPerRegimeEvenSteps is TestMatrixPerRegime at an even step
+// count: AA storage ends in the natural layout instead of the
+// reversed-shifted one, so every backend — psolve's default AA ranks,
+// their crossing-only halo wire and the explicit A–B ("fused") ranks
+// included — must match the reference at both parities in every regime.
+func TestMatrixPerRegimeEvenSteps(t *testing.T) {
+	for _, s := range []string{
+		"v1;seed=61;grid=8x8x8;tau=0.7;steps=4;bc=periodic;obst=2;force=1e-05,0,-1e-05",
+		"v1;seed=62;grid=9x8x8;tau=0.8;steps=4;bc=lid;obst=1",
+		"v1;seed=63;grid=10x8x8;tau=0.65;steps=4;bc=channel;smag=0.12",
+	} {
+		c := mustParse(t, s)
+		want, err := (&Ctx{Case: c}).Reference()
+		if err != nil {
+			t.Fatalf("reference on %s: %v", s, err)
+		}
+		for _, b := range Backends() {
+			got, err := b.Run(c)
+			if err != nil {
+				t.Errorf("%s on %s: %v", b.Name, s, err)
+				continue
+			}
+			if err := Compare(want, got, Exact); err != nil {
+				t.Errorf("%s diverges on %s: %v", b.Name, s, err)
+			}
+		}
+	}
+}

@@ -23,9 +23,11 @@ import "math"
 // leaves the allocation, so the combined map is a bijection on the whole
 // q×N slot space and every logical population of every allocated cell has
 // exactly one home at both parities. PopIndex implements the map;
-// phase-dependent code (halo wrap, face pack/unpack, boundary conditions,
-// snapshot capture) goes through it and inherits correctness from the
-// bijection.
+// phase-dependent code goes through it or its tabulations — the
+// face-layer slot tables behind the halo wrap, face pack/unpack and
+// boundary conditions (facetab.go, held equal to PopIndex by
+// TestFaceSlotsMatchPopIndex), the PopBase bases snapshot capture hoists
+// — and inherits correctness from the bijection.
 //
 // The even-step kernel gathers exactly like the double-buffer pull kernel
 // and scatters each post-collision population i into slot Opp[i] of the
@@ -91,19 +93,6 @@ func (l *Lattice) PopIndex(i, idx int) int {
 	}
 	c := l.Desc.C[i]
 	x, y, z := l.Coords(idx)
-	x, y, z = x+c[0], y+c[1], z+c[2]
-	if x >= -1 && x <= l.NX && y >= -1 && y <= l.NY && z >= -1 && z <= l.NZ {
-		return l.Desc.Opp[i]*l.N + idx + l.offs[i]
-	}
-	return i*l.N + idx
-}
-
-// popSlotAA is PopIndex for callers that already know the interior
-// coordinates (x, y, z) of cell idx (halo coordinates −1 and N{X,Y,Z}
-// included): it skips the div/mod coordinate recovery, which dominates
-// PopIndex's cost in halo-layer loops. Valid at odd AA parity only.
-func (l *Lattice) popSlotAA(i, idx, x, y, z int) int {
-	c := l.Desc.C[i]
 	x, y, z = x+c[0], y+c[1], z+c[2]
 	if x >= -1 && x <= l.NX && y >= -1 && y <= l.NY && z >= -1 && z <= l.NZ {
 		return l.Desc.Opp[i]*l.N + idx + l.offs[i]

@@ -22,53 +22,66 @@ import "math"
 // Hoisting each direction's row into a slice gives the inner z loop
 // constant-bound indexing (bounds checks hoisted), contiguous streaming
 // loads/stores, and none of the per-cell neighbour-flag probing of the
-// double-buffer fast path: mixed rows — any wall in the 3×3 neighbouring
-// rows or a non-fluid cell in the row itself — fall back to the generic
-// AA kernel for exactly that row segment, preserving bit-identity.
+// double-buffer fast path: the cells of a row outside its clean span —
+// non-fluid cells and cells with a wall in their stencil — take the
+// generic AA kernel instead, preserving bit-identity.
 
-// aaRowMixed reports whether the row of nz cells starting at rowBase
-// needs the flag-aware generic path: a non-fluid cell in the row, or a
-// Wall/MovingWall among any cell's gather stencil (conservatively, the
-// nine neighbouring z-rows padded by one cell on each end).
-func (l *Lattice) aaRowMixed(rowBase, nz int) bool {
+// aaCleanSpan scans interior row (x, y) for its longest run [lo, hi) of
+// cells the unrolled kernels may take: fluid cells with no Wall or
+// MovingWall anywhere in their gather stencil (conservatively, the nine
+// neighbouring z-rows at z−1, z and z+1). Cells outside the run — walls
+// at the row's ends, such as a no-slip z face, or obstacles — go through
+// the flag-aware generic kernel; the kernels ask through cleanSpan,
+// which caches the run per row until a flag changes (the geometry is
+// static, so each row is scanned once).
+func (l *Lattice) aaCleanSpan(x, y int) (lo, hi int) {
 	flags := l.Flags
-	rowStride := l.AZ
-	planeStride := l.AX * l.AZ
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			b := rowBase + dy*planeStride + dx*rowStride - 1
-			row := flags[b : b+nz+2]
-			for _, fl := range row {
-				if fl == Wall || fl == MovingWall {
+	base := l.Idx(x, y, 0)
+	rowStride, planeStride := l.AZ, l.AX*l.AZ
+	wallAt := func(z int) bool {
+		for dy := -1; dy <= 1; dy++ {
+			for dx := -1; dx <= 1; dx++ {
+				if fl := flags[base+dy*planeStride+dx*rowStride+z]; fl == Wall || fl == MovingWall {
 					return true
 				}
 			}
 		}
+		return false
 	}
-	ctr := flags[rowBase : rowBase+nz]
-	for _, fl := range ctr {
-		if fl != Fluid {
-			return true
+	prev, cur := wallAt(-1), wallAt(0)
+	start := -1
+	for z := 0; z < l.NZ; z++ {
+		next := wallAt(z + 1)
+		if flags[base+z] == Fluid && !prev && !cur && !next {
+			if start < 0 {
+				start = z
+			}
+			if z+1-start > hi-lo {
+				lo, hi = start, z+1
+			}
+		} else {
+			start = -1
 		}
+		prev, cur = cur, next
 	}
-	return false
+	return lo, hi
 }
 
 // stepAAEvenD3Q19 is the unrolled even-phase AA kernel: double-buffer
-// pull gather, reversed-shifted scatter, per z-row over hoisted slices.
+// pull gather, reversed-shifted scatter, per z-row over hoisted slices;
+// the parts of a row outside its clean span take the generic kernel.
 //
 // Per-cell traffic on the clean path: 19 pulls + 19 pushes of float64
-// within the single AA array plus ~10 flag bytes of the row prescan —
-// below the two-buffer 380 B/cell budget because the second stream of
-// write-allocated destination lines is gone.
+// within the single AA array — below the two-buffer 380 B/cell budget
+// because the second stream of write-allocated destination lines is
+// gone.
 //
 //lbm:hot traffic budget=360
 func (l *Lattice) stepAAEvenD3Q19(x0, x1, y0, y1, z0, z1 int) {
 	src := l.F[l.src]
 	n := l.N
 	nTau := -1.0 / l.Tau
-	nz := z1 - z0
-	if nz <= 0 {
+	if z1 <= z0 {
 		return
 	}
 	var off [19]int
@@ -76,16 +89,24 @@ func (l *Lattice) stepAAEvenD3Q19(x0, x1, y0, y1, z0, z1 int) {
 	var g [19][]float64
 	for y := y0; y < y1; y++ {
 		for x := x0; x < x1; x++ {
-			rowBase := l.Idx(x, y, z0)
-			if l.aaRowMixed(rowBase, nz) {
+			lo, hi := l.cleanSpan(x, y, z0, z1)
+			if lo >= hi {
 				l.stepAAEvenGeneric(x, x+1, y, y+1, z0, z1)
 				continue
 			}
+			if z0 < lo {
+				l.stepAAEvenGeneric(x, x+1, y, y+1, z0, lo)
+			}
+			nz := hi - lo
+			rowBase := l.Idx(x, y, lo)
 			for i := 0; i < 19; i++ {
 				b := i*n + rowBase - off[i]
 				g[i] = src[b : b+nz]
 			}
 			aaRowD3Q19(&g, nz, nTau)
+			if hi < z1 {
+				l.stepAAEvenGeneric(x, x+1, y, y+1, hi, z1)
+			}
 		}
 	}
 }
@@ -99,23 +120,30 @@ func (l *Lattice) stepAAOddD3Q19(x0, x1, y0, y1, z0, z1 int) {
 	n := l.N
 	nTau := -1.0 / l.Tau
 	d := l.Desc
-	nz := z1 - z0
-	if nz <= 0 {
+	if z1 <= z0 {
 		return
 	}
 	var g [19][]float64
 	for y := y0; y < y1; y++ {
 		for x := x0; x < x1; x++ {
-			rowBase := l.Idx(x, y, z0)
-			if l.aaRowMixed(rowBase, nz) {
+			lo, hi := l.cleanSpan(x, y, z0, z1)
+			if lo >= hi {
 				l.stepAAOddGeneric(x, x+1, y, y+1, z0, z1)
 				continue
 			}
+			if z0 < lo {
+				l.stepAAOddGeneric(x, x+1, y, y+1, z0, lo)
+			}
+			nz := hi - lo
+			rowBase := l.Idx(x, y, lo)
 			for i := 0; i < 19; i++ {
 				b := d.Opp[i]*n + rowBase
 				g[i] = src[b : b+nz]
 			}
 			aaRowD3Q19(&g, nz, nTau)
+			if hi < z1 {
+				l.stepAAOddGeneric(x, x+1, y, y+1, hi, z1)
+			}
 		}
 	}
 }

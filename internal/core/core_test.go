@@ -428,14 +428,31 @@ func TestPackUnpackFaceRoundTrip(t *testing.T) {
 	flags := make([]CellType, nc)
 	a.PackFace(FaceXMax, buf, flags)
 	b.UnpackFace(FaceXMin, buf, flags)
-	// Check: b's halo at x=-1 matches a's boundary at x=NX-1.
+	// Check: b's halo at x=-1 matches a's boundary at x=NX-1 in every
+	// population that crosses the face (c_x > 0) and is untouched in the
+	// others.
+	cross := map[int]bool{}
+	for _, q := range a.crossing(FaceXMax, 0) {
+		cross[q] = true
+		if a.Desc.C[q][0] != 1 {
+			t.Fatalf("population %d does not leave through x+", q)
+		}
+	}
+	if len(cross) != 5 || a.WireLen(FaceXMax) != 5*nc {
+		t.Fatalf("D3Q19 x face must ship 5 populations per cell, got %d (wire %d)", len(cross), a.WireLen(FaceXMax))
+	}
+	rest := newTestLattice(t, 6, 5, 4, 0.8)
 	for y := 0; y < a.NY; y++ {
 		for z := 0; z < a.NZ; z++ {
 			fa := a.Populations(a.NX-1, y, z, nil)
 			ib := b.Idx(-1, y, z)
 			for q := 0; q < b.Desc.Q; q++ {
-				if fb := b.Src()[q*b.N+ib]; fb != fa[q] {
-					t.Fatalf("halo mismatch at y=%d z=%d q=%d", y, z, q)
+				want := fa[q]
+				if !cross[q] {
+					want = rest.Src()[q*rest.N+ib]
+				}
+				if fb := b.Src()[q*b.N+ib]; fb != want {
+					t.Fatalf("halo mismatch at y=%d z=%d q=%d (crossing %v)", y, z, q, cross[q])
 				}
 			}
 		}

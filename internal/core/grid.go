@@ -71,6 +71,8 @@ type Lattice struct {
 	F [2][]float64
 
 	// Flags holds the cell classification for every allocated cell.
+	// Write it through SetFlag/SetWall/SetMovingWall/SetFluid, or call
+	// FlagsChanged after direct writes, so cached geometry stays valid.
 	Flags []CellType
 
 	// WallVel maps MovingWall cell indices to their wall velocity.
@@ -103,6 +105,14 @@ type Lattice struct {
 
 	// noFastPath disables the unrolled D3Q19 kernel (testing hook).
 	noFastPath bool
+
+	// tabs caches the face-layer slot tables (facetab.go).
+	tabs faceTables
+	// flagGen counts flag changes; rowSpan caches the AA fast path's
+	// per-row clean spans computed at flag generation rowGen.
+	flagGen uint64
+	rowGen  uint64
+	rowSpan []aaSpan
 }
 
 // NewLattice allocates a lattice of nx×ny×nz interior cells using the given
@@ -233,21 +243,21 @@ func (l *Lattice) SetCell(x, y, z int, rho, ux, uy, uz float64) {
 // SetWall marks the cell as a solid no-slip wall.
 func (l *Lattice) SetWall(x, y, z int) {
 	idx := l.Idx(x, y, z)
-	l.Flags[idx] = Wall
+	l.SetFlag(idx, Wall)
 	delete(l.WallVel, idx)
 }
 
 // SetMovingWall marks the cell as a solid wall moving with velocity u.
 func (l *Lattice) SetMovingWall(x, y, z int, ux, uy, uz float64) {
 	idx := l.Idx(x, y, z)
-	l.Flags[idx] = MovingWall
+	l.SetFlag(idx, MovingWall)
 	l.WallVel[idx] = [3]float64{ux, uy, uz}
 }
 
 // SetFluid marks the cell as ordinary fluid.
 func (l *Lattice) SetFluid(x, y, z int) {
 	idx := l.Idx(x, y, z)
-	l.Flags[idx] = Fluid
+	l.SetFlag(idx, Fluid)
 	delete(l.WallVel, idx)
 }
 

@@ -48,57 +48,52 @@ func (l *Lattice) PeriodicAll() {
 // The copy spans the entire allocated extent of the other two axes so that
 // successive calls for different axes fill edges and corners correctly.
 //
-// Each inner iteration copies TWO cells (the low and the high face), so
-// the budget is two cells' worth of copy traffic: 2 × (19 reads + 19
-// writes of float64 + the flag byte).
-//
-//lbm:hot traffic budget=616 assume q=19
+// The wrap copies whole cells — all Q populations, not only those that
+// cross the face (compare PackFace): face boundary conditions applied
+// after a wrap read the wrapped halo cells as their inward neighbours
+// (psolve wraps z before its x/y face conditions, and a boundary.Set
+// lists Periodic before, say, a PressureOutlet), so every population of
+// a wrapped cell must be current.
 func (l *Lattice) PeriodicAxis(axis int) {
-	if l.aaOddPhase() {
-		l.periodicAxisAA(axis)
-		return
+	lo, hi := Face(2*axis), Face(2*axis+1)
+	wrapSlots(l.F[l.src], l.layerSlots(lo, 1), l.layerSlots(hi, 0),
+		l.layerSlots(hi, 1), l.layerSlots(lo, 0))
+	l.wrapFlags(lo, hi)
+	l.wrapFlags(hi, lo)
+}
+
+// wrapSlots copies s[loSrc[t]] into s[loDst[t]] and s[hiSrc[t]] into
+// s[hiDst[t]] for every table entry: both directions of one axis' wrap
+// in one pass. The tables are the slot tables of the current storage
+// phase, so the natural, A–B and odd AA layouts share this one straight
+// copy. Source
+// and destination (population, cell) pairs are disjoint (interior
+// boundary layers vs halo layers) and the slot map is a bijection, so the
+// in-place copy is order-safe.
+//
+// Per-entry traffic: four table reads + two population reads + two
+// population writes.
+//
+//lbm:hot traffic budget=64
+func wrapSlots(s []float64, loDst, loSrc, hiDst, hiSrc []int) {
+	loSrc = loSrc[:len(loDst)]
+	hiDst = hiDst[:len(loDst)]
+	hiSrc = hiSrc[:len(loDst)]
+	for t, d := range loDst {
+		s[d] = s[loSrc[t]]
+		s[hiDst[t]] = s[hiSrc[t]]
 	}
-	src := l.F[l.src]
-	n := l.N
-	q := l.Desc.Q
-	copyCell := func(dstIdx, srcIdx int) {
-		for i := 0; i < q; i++ {
-			src[i*n+dstIdx] = src[i*n+srcIdx]
-		}
-		if l.Flags[srcIdx] != Ghost {
-			l.Flags[dstIdx] = l.Flags[srcIdx]
-		}
-	}
-	switch axis {
-	case 0:
-		for ay := 0; ay < l.AY; ay++ {
-			for az := 0; az < l.AZ; az++ {
-				lo := (ay*l.AX+0)*l.AZ + az
-				hi := (ay*l.AX+l.AX-1)*l.AZ + az
-				loSrc := (ay*l.AX+l.AX-2)*l.AZ + az
-				hiSrc := (ay*l.AX+1)*l.AZ + az
-				copyCell(lo, loSrc)
-				copyCell(hi, hiSrc)
-			}
-		}
-	case 1:
-		for ax := 0; ax < l.AX; ax++ {
-			for az := 0; az < l.AZ; az++ {
-				lo := (0*l.AX+ax)*l.AZ + az
-				hi := ((l.AY-1)*l.AX+ax)*l.AZ + az
-				loSrc := ((l.AY-2)*l.AX+ax)*l.AZ + az
-				hiSrc := (1*l.AX+ax)*l.AZ + az
-				copyCell(lo, loSrc)
-				copyCell(hi, hiSrc)
-			}
-		}
-	case 2:
-		for ay := 0; ay < l.AY; ay++ {
-			for ax := 0; ax < l.AX; ax++ {
-				base := (ay*l.AX + ax) * l.AZ
-				copyCell(base+0, base+l.AZ-2)
-				copyCell(base+l.AZ-1, base+1)
-			}
+}
+
+// wrapFlags copies every non-Ghost flag of the interior boundary layer
+// at face from into the halo layer at face dst.
+func (l *Lattice) wrapFlags(dst, from Face) {
+	dc := l.layerCells(dst, 1)
+	sc := l.layerCells(from, 0)
+	sc = sc[:len(dc)]
+	for k, c := range dc {
+		if f := l.Flags[sc[k]]; f != Ghost {
+			l.SetFlag(c, f)
 		}
 	}
 }
@@ -154,181 +149,112 @@ func (l *Lattice) FaceCells(f Face) int {
 	return (x1 - x0) * (y1 - y0) * (z1 - z0)
 }
 
-// PackFace serialises the populations (and flags) of the interior boundary
-// layer at face f from the current buffer into buf, which must have length
-// ≥ Q*FaceCells(f) float64s. It returns the packed flags alongside so the
-// receiver can mirror obstacle cells that touch the subdomain boundary.
+// WireLen returns the number of float64s PackFace writes for face f and
+// UnpackFace reads for it: FaceCells(f) times the number of populations
+// that cross the face (5 of 19 for D3Q19).
+func (l *Lattice) WireLen(f Face) int { return len(l.wireSlots(f, 0)) }
+
+// PackFace serialises the interior boundary layer at face f into buf: only
+// the populations that leave the lattice through f (c·n > 0 for the
+// outward normal n), the only ones a neighbour's kernel pulls from its
+// halo. buf needs WireLen(f) elements; a Q*FaceCells(f) buffer is always
+// large enough. The wire order is population-major in ascending
+// population index, then cell in FaceCells order, independent of the
+// storage phase, so pack/unpack pairs compose across ranks at different
+// phases. flags, if non-nil (length ≥ FaceCells(f)), receives the layer's
+// cell flags so the receiver can mirror obstacles touching the subdomain
+// boundary — geometry is static, so senders need them only once.
 //
-// Per-cell traffic: 19 population reads + 19 buffer writes (the flag
-// copy rides on the nil-guard path).
-//
-//lbm:hot traffic budget=320 assume q=19
+// A crossing-only halo is complete for the kernel, but not for face
+// boundary conditions that read halo cells as inward neighbours: an
+// exchange that runs before them must move whole cells (PackLayer).
 func (l *Lattice) PackFace(f Face, buf []float64, flags []CellType) {
-	if l.aaOddPhase() {
-		l.packFaceAA(f, buf, flags)
-		return
-	}
-	x0, x1, y0, y1, z0, z1 := l.faceRange(f, 0)
-	src := l.F[l.src]
-	q := l.Desc.Q
-	n := l.N
-	k := 0
-	for ay := y0; ay < y1; ay++ {
-		for ax := x0; ax < x1; ax++ {
-			for az := z0; az < z1; az++ {
-				idx := (ay*l.AX+ax)*l.AZ + az
-				for i := 0; i < q; i++ {
-					buf[k*q+i] = src[i*n+idx]
-				}
-				if flags != nil {
-					flags[k] = l.Flags[idx]
-				}
-				k++
-			}
-		}
-	}
+	gatherSlots(buf, l.F[l.src], l.wireSlots(f, 0))
+	l.packFlags(f, flags)
 }
 
-// UnpackFace writes a packed face buffer into the halo layer at face f of
-// the current buffer. Flags, if non-nil, update the halo cell
-// classification (so walls spanning subdomain boundaries bounce correctly);
-// Ghost flags in the packed data are preserved as Ghost.
-//
-// Per-cell traffic: 19 buffer reads + 19 population writes plus the
-// flag-guard byte.
-//
-//lbm:hot traffic budget=320 assume q=19
+// UnpackFace writes a buffer packed by a neighbour's PackFace at the
+// opposite face into the halo layer at face f: the populations that enter
+// the lattice through f, in PackFace's wire order. The halo's other
+// populations are left as they are — no kernel reads them. Flags, if
+// non-nil, update the halo cell classification (so walls spanning
+// subdomain boundaries bounce correctly); Ghost flags in the packed data
+// are preserved as Ghost.
 func (l *Lattice) UnpackFace(f Face, buf []float64, flags []CellType) {
-	if l.aaOddPhase() {
-		l.unpackFaceAA(f, buf, flags)
+	scatterSlots(l.F[l.src], buf, l.wireSlots(f, 1))
+	l.unpackFlags(f, flags)
+}
+
+// PackLayer is PackFace for whole cells: all Q populations of every cell
+// of the interior boundary layer at face f, population-major
+// (Q*FaceCells(f) elements), for exchanges that run before face boundary
+// conditions —
+// those read the received halo cells as inward neighbours, so every
+// population must be current, as in PeriodicAxis.
+func (l *Lattice) PackLayer(f Face, buf []float64, flags []CellType) {
+	gatherSlots(buf, l.F[l.src], l.layerSlots(f, 0))
+	l.packFlags(f, flags)
+}
+
+// UnpackLayer writes a buffer packed by a neighbour's PackLayer at the
+// opposite face into the halo layer at face f, whole cells.
+func (l *Lattice) UnpackLayer(f Face, buf []float64, flags []CellType) {
+	scatterSlots(l.F[l.src], buf, l.layerSlots(f, 1))
+	l.unpackFlags(f, flags)
+}
+
+// gatherSlots copies src[tab[t]] into buf[t] for every table entry: the
+// straight copy behind every pack.
+//
+// Per-slot traffic: one table read + one population read + one buffer
+// write.
+//
+//lbm:hot traffic budget=24
+func gatherSlots(buf, src []float64, tab []int) {
+	buf = buf[:len(tab)]
+	for t, s := range tab {
+		buf[t] = src[s]
+	}
+}
+
+// scatterSlots copies buf[t] into src[tab[t]] for every table entry: the
+// straight copy behind every unpack.
+//
+// Per-slot traffic: one table read + one buffer read + one population
+// write.
+//
+//lbm:hot traffic budget=24
+func scatterSlots(src, buf []float64, tab []int) {
+	buf = buf[:len(tab)]
+	for t, s := range tab {
+		src[s] = buf[t]
+	}
+}
+
+// packFlags copies the flags of the interior boundary layer at face f
+// into flags (nil skips).
+func (l *Lattice) packFlags(f Face, flags []CellType) {
+	if flags == nil {
 		return
 	}
-	x0, x1, y0, y1, z0, z1 := l.faceRange(f, 1)
-	src := l.F[l.src]
-	q := l.Desc.Q
-	n := l.N
-	k := 0
-	for ay := y0; ay < y1; ay++ {
-		for ax := x0; ax < x1; ax++ {
-			for az := z0; az < z1; az++ {
-				idx := (ay*l.AX+ax)*l.AZ + az
-				for i := 0; i < q; i++ {
-					src[i*n+idx] = buf[k*q+i]
-				}
-				if flags != nil && flags[k] != Ghost {
-					l.Flags[idx] = flags[k]
-				}
-				k++
-			}
-		}
+	cells := l.layerCells(f, 0)
+	flags = flags[:len(cells)]
+	for k, c := range cells {
+		flags[k] = l.Flags[c]
 	}
 }
 
-// periodicAxisAA is the odd-phase PeriodicAxis: the same wrap-around cell
-// copies, but addressing logical populations through the reversed-shifted
-// layout. PopIndex is a bijection on the slot space, so the logical
-// semantics (and thus the resumed even-phase state) match the natural
-// wrap exactly; the sources (interior boundary layers) are never earlier
-// destinations (halo layers) within one call, so the in-place copies are
-// order-safe.
-func (l *Lattice) periodicAxisAA(axis int) {
-	src := l.F[l.src]
-	q := l.Desc.Q
-	copyCell := func(dstIdx, srcIdx, dx, dy, dz, sx, sy, sz int) {
-		for i := 0; i < q; i++ {
-			src[l.popSlotAA(i, dstIdx, dx, dy, dz)] = src[l.popSlotAA(i, srcIdx, sx, sy, sz)]
-		}
-		if l.Flags[srcIdx] != Ghost {
-			l.Flags[dstIdx] = l.Flags[srcIdx]
-		}
+// unpackFlags mirrors received flags into the halo layer at face f,
+// keeping Ghost where the sender's cell is Ghost (nil skips).
+func (l *Lattice) unpackFlags(f Face, flags []CellType) {
+	if flags == nil {
+		return
 	}
-	switch axis {
-	case 0:
-		for ay := 0; ay < l.AY; ay++ {
-			y := ay - 1
-			for az := 0; az < l.AZ; az++ {
-				z := az - 1
-				lo := (ay*l.AX+0)*l.AZ + az
-				hi := (ay*l.AX+l.AX-1)*l.AZ + az
-				loSrc := (ay*l.AX+l.AX-2)*l.AZ + az
-				hiSrc := (ay*l.AX+1)*l.AZ + az
-				copyCell(lo, loSrc, -1, y, z, l.NX-1, y, z)
-				copyCell(hi, hiSrc, l.NX, y, z, 0, y, z)
-			}
-		}
-	case 1:
-		for ax := 0; ax < l.AX; ax++ {
-			x := ax - 1
-			for az := 0; az < l.AZ; az++ {
-				z := az - 1
-				lo := (0*l.AX+ax)*l.AZ + az
-				hi := ((l.AY-1)*l.AX+ax)*l.AZ + az
-				loSrc := ((l.AY-2)*l.AX+ax)*l.AZ + az
-				hiSrc := (1*l.AX+ax)*l.AZ + az
-				copyCell(lo, loSrc, x, -1, z, x, l.NY-1, z)
-				copyCell(hi, hiSrc, x, l.NY, z, x, 0, z)
-			}
-		}
-	case 2:
-		for ay := 0; ay < l.AY; ay++ {
-			y := ay - 1
-			for ax := 0; ax < l.AX; ax++ {
-				x := ax - 1
-				base := (ay*l.AX + ax) * l.AZ
-				copyCell(base+0, base+l.AZ-2, x, y, -1, x, y, l.NZ-1)
-				copyCell(base+l.AZ-1, base+1, x, y, l.NZ, x, y, 0)
-			}
-		}
-	}
-}
-
-// packFaceAA packs the interior boundary layer at odd AA parity: the same
-// logical populations as the natural pack, read through PopIndex, so the
-// wire format is phase-independent and pack/unpack pairs compose across
-// ranks at different storage phases.
-func (l *Lattice) packFaceAA(f Face, buf []float64, flags []CellType) {
-	x0, x1, y0, y1, z0, z1 := l.faceRange(f, 0)
-	src := l.F[l.src]
-	q := l.Desc.Q
-	k := 0
-	for ay := y0; ay < y1; ay++ {
-		for ax := x0; ax < x1; ax++ {
-			for az := z0; az < z1; az++ {
-				idx := (ay*l.AX+ax)*l.AZ + az
-				for i := 0; i < q; i++ {
-					buf[k*q+i] = src[l.popSlotAA(i, idx, ax-1, ay-1, az-1)]
-				}
-				if flags != nil {
-					flags[k] = l.Flags[idx]
-				}
-				k++
-			}
-		}
-	}
-}
-
-// unpackFaceAA writes a packed face buffer into the halo layer at odd AA
-// parity, placing each logical population into its reversed-shifted slot
-// (or the natural fallback slot for populations whose shifted home leaves
-// the allocation — those park in place and feed the next odd-parity pack
-// or capture, never the kernel).
-func (l *Lattice) unpackFaceAA(f Face, buf []float64, flags []CellType) {
-	x0, x1, y0, y1, z0, z1 := l.faceRange(f, 1)
-	src := l.F[l.src]
-	q := l.Desc.Q
-	k := 0
-	for ay := y0; ay < y1; ay++ {
-		for ax := x0; ax < x1; ax++ {
-			for az := z0; az < z1; az++ {
-				idx := (ay*l.AX+ax)*l.AZ + az
-				for i := 0; i < q; i++ {
-					src[l.popSlotAA(i, idx, ax-1, ay-1, az-1)] = buf[k*q+i]
-				}
-				if flags != nil && flags[k] != Ghost {
-					l.Flags[idx] = flags[k]
-				}
-				k++
-			}
+	cells := l.layerCells(f, 1)
+	flags = flags[:len(cells)]
+	for k, c := range cells {
+		if fl := flags[k]; fl != Ghost {
+			l.SetFlag(c, fl)
 		}
 	}
 }

@@ -9,8 +9,9 @@ import (
 // lattice and its bit-identical double-buffer twin after each of the
 // first two steps (even and odd storage parity) and requires the wire
 // buffers to match bit-exactly on fluid cells: the packed format is the
-// logical population order regardless of the sender's storage phase, so
-// pack/unpack pairs compose across ranks at different phases.
+// crossing populations in logical order regardless of the sender's
+// storage phase, so pack/unpack pairs compose across ranks at different
+// phases.
 func TestPackFaceWireFormatPhaseIndependent(t *testing.T) {
 	ref, aa := buildPair(t, 6, 5, 7, 0.8, false)
 	for step := 1; step <= 2; step++ {
@@ -41,8 +42,8 @@ func TestPackFaceWireFormatPhaseIndependent(t *testing.T) {
 				if flagsR[k] != Fluid {
 					continue // non-fluid populations are undefined
 				}
-				for i := 0; i < q; i++ {
-					r, a := bufR[k*q+i], bufA[k*q+i]
+				for j, i := range ref.crossing(f, 0) {
+					r, a := bufR[j*nc+k], bufA[j*nc+k]
 					if math.Float64bits(r) != math.Float64bits(a) {
 						t.Fatalf("step %d (%s parity) face %v cell %d pop %d: %v (ref) != %v (aa)",
 							step, parity, f, k, i, r, a)
@@ -56,10 +57,11 @@ func TestPackFaceWireFormatPhaseIndependent(t *testing.T) {
 // TestPackUnpackFaceAAOddParity transfers an AA sender's x+ boundary
 // into an AA receiver's x- halo while both sit at odd storage parity
 // (the reversed-shifted layout), then checks the receiver's logical
-// halo populations and flags against the sender's boundary — the
-// odd-parity analogue of TestPackUnpackFaceRoundTrip, exercising
-// packFaceAA and unpackFaceAA including the natural-slot fallback for
-// halo cells whose shifted home leaves the allocation.
+// halo populations that cross the face and its flags against the
+// sender's boundary — the odd-parity analogue of
+// TestPackUnpackFaceRoundTrip, exercising the odd-phase wire tables
+// including the natural-slot fallback for halo cells whose shifted home
+// leaves the allocation.
 func TestPackUnpackFaceAAOddParity(t *testing.T) {
 	mk := func() *Lattice {
 		l := newTestLattice(t, 6, 5, 4, 0.8)
@@ -94,7 +96,7 @@ func TestPackUnpackFaceAAOddParity(t *testing.T) {
 			}
 			fa = a.Populations(a.NX-1, y, z, fa)
 			ib := b.Idx(-1, y, z)
-			for q := 0; q < b.Desc.Q; q++ {
+			for _, q := range b.crossing(FaceXMin, 1) {
 				got := b.Src()[b.PopIndex(q, ib)]
 				if math.Float64bits(got) != math.Float64bits(fa[q]) {
 					t.Fatalf("halo mismatch at y=%d z=%d q=%d: %v != %v", y, z, q, got, fa[q])

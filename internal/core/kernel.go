@@ -20,6 +20,7 @@ const MaxQ = 27
 // where applicable.
 func (l *Lattice) StepFused() {
 	if l.aa {
+		l.syncRowCache()
 		l.stepAAYRange(0, l.NY)
 		l.step++
 		return
@@ -37,6 +38,7 @@ func (l *Lattice) StepFused() {
 // interior exactly once before CompleteStep is called.
 func (l *Lattice) StepRegion(x0, x1, y0, y1 int) {
 	if l.aa {
+		l.syncRowCache()
 		l.stepAARegionZ(x0, x1, y0, y1, 0, l.NZ)
 		return
 	}

@@ -23,6 +23,9 @@ func (l *Lattice) StepFusedParallel(workers int) {
 		l.StepFused()
 		return
 	}
+	if l.aa {
+		l.syncRowCache()
+	}
 	var wg sync.WaitGroup
 	chunk := (l.NY + workers - 1) / workers
 	for w := 0; w < workers; w++ {

@@ -81,6 +81,7 @@ func (p *Pool) worker(start <-chan struct{}, y0, y1 int) {
 // workers' writes before the counter bump and the caller's subsequent
 // reads, so the pool is race-free by construction.
 func (p *Pool) Step() {
+	p.l.syncRowCache()
 	for _, ch := range p.start {
 		ch <- struct{}{}
 	}

@@ -298,6 +298,7 @@ func (c *Comm) recvOn(mb *mailbox, src, tag int, ch chan Message, timeout time.D
 		// Fast path: a message is already available.
 		select {
 		case m := <-ch:
+			mb.recycle(ch)
 			return m, nil
 		default:
 		}
@@ -316,6 +317,7 @@ func (c *Comm) recvOn(mb *mailbox, src, tag int, ch chan Message, timeout time.D
 		}
 		select {
 		case m := <-ch:
+			mb.recycle(ch)
 			return m, nil
 		case <-sig:
 			// Failure state changed; loop and re-evaluate.

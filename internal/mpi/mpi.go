@@ -45,6 +45,9 @@ type mailbox struct {
 	mu      sync.Mutex
 	queue   []Message
 	waiters []chan Message
+	// spare is a drained waiter channel kept for the next receive, so a
+	// steady stream of receives allocates no channels.
+	spare chan Message
 }
 
 // put delivers a message: to the oldest waiting receiver if any,
@@ -56,7 +59,9 @@ func (mb *mailbox) put(m Message) {
 	defer mb.mu.Unlock()
 	if len(mb.waiters) > 0 {
 		w := mb.waiters[0]
-		mb.waiters = mb.waiters[1:]
+		n := copy(mb.waiters, mb.waiters[1:])
+		mb.waiters[n] = nil
+		mb.waiters = mb.waiters[:n]
 		w <- m
 		return
 	}
@@ -65,13 +70,17 @@ func (mb *mailbox) put(m Message) {
 
 // get returns a channel that will yield the next message in stream order.
 // A receiver that gives up (timeout, dead peer) must call cancel with the
-// same channel so a later message is not swallowed by an abandoned waiter.
+// same channel so a later message is not swallowed by an abandoned waiter;
+// one that got its message may hand the channel back through recycle.
 func (mb *mailbox) get() chan Message {
-	ch := make(chan Message, 1)
 	mb.mu.Lock()
+	ch := mb.spare
+	mb.spare = nil
+	if ch == nil {
+		ch = make(chan Message, 1)
+	}
 	if len(mb.queue) > 0 {
-		m := mb.queue[0]
-		mb.queue = mb.queue[1:]
+		m := mb.pop()
 		mb.mu.Unlock()
 		ch <- m
 		return ch
@@ -81,6 +90,25 @@ func (mb *mailbox) get() chan Message {
 	return ch
 }
 
+// recycle keeps a waiter channel whose message has been received for the
+// next get. The channel is empty and no longer registered.
+func (mb *mailbox) recycle(ch chan Message) {
+	mb.mu.Lock()
+	mb.spare = ch
+	mb.mu.Unlock()
+}
+
+// pop removes the queue head, shifting the rest down so the backing
+// array is reused instead of crawling forward and reallocating. The
+// caller holds mb.mu and has checked the queue is non-empty.
+func (mb *mailbox) pop() Message {
+	m := mb.queue[0]
+	n := copy(mb.queue, mb.queue[1:])
+	mb.queue[n] = Message{}
+	mb.queue = mb.queue[:n]
+	return m
+}
+
 // tryGet pops the head of the queue without registering a waiter.
 func (mb *mailbox) tryGet() (Message, bool) {
 	mb.mu.Lock()
@@ -88,9 +116,7 @@ func (mb *mailbox) tryGet() (Message, bool) {
 	if len(mb.queue) == 0 {
 		return Message{}, false
 	}
-	m := mb.queue[0]
-	mb.queue = mb.queue[1:]
-	return m, true
+	return mb.pop(), true
 }
 
 // cancel deregisters an abandoned waiter. If a message was already
@@ -189,6 +215,13 @@ func (w *World) deliver(src, dst, tag int, m Message) {
 	}
 	mb := w.box(src, dst, tag)
 	for i := 0; i < copies; i++ {
+		if i > 0 {
+			// An injected duplicate is a snapshot of the message as
+			// sent: senders may recycle their buffers once the
+			// original has been received.
+			m.Data = append([]float64(nil), m.Data...)
+			m.Aux = append([]byte(nil), m.Aux...)
+		}
 		mb.put(m)
 	}
 }

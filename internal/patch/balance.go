@@ -33,6 +33,10 @@ type Stats struct {
 	// L4 checkpoint or from scratch.
 	Recoveries int `json:"recoveries"`
 	Restarts   int `json:"restarts"`
+	// SnapshotBytes is the snapshot store's byte ledger per checkpoint
+	// level (L1..L4) at the end of a supervised run, as psolve's
+	// supervisor reports it.
+	SnapshotBytes [4]int64 `json:"snapshot_bytes"`
 }
 
 // rebalanceDue reports whether a balance boundary falls after `done`

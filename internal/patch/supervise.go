@@ -142,6 +142,11 @@ func Supervise(o SupervisorOptions) (*core.MacroField, *Stats, error) {
 	}
 
 	stats := &Stats{Patches: til.P(), Workers: len(opt.Workers)}
+	defer func() {
+		if store != nil {
+			stats.SnapshotBytes = store.Bytes()
+		}
+	}()
 	owner := initialOwner(til.P(), len(opt.Workers))
 	var restore map[int]*resil.Snapshot
 	start := 0

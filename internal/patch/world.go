@@ -490,12 +490,31 @@ func (n *node) ship(src, dst int, face core.Face) {
 	ls := n.lats[src]
 	cells := ls.FaceCells(face)
 	q := ls.Desc.Q
-	ls.PackFace(face, n.buf[:cells*q], n.flg[:cells])
+	whole := wholeCells(face)
+	buf := n.buf[:ls.WireLen(face)]
+	if whole {
+		buf = n.buf[:cells*q]
+		ls.PackLayer(face, buf, n.flg[:cells])
+	} else {
+		ls.PackFace(face, buf, n.flg[:cells])
+	}
 	if n.owner[dst] == n.me {
-		n.lats[dst].UnpackFace(opposite(face), n.buf[:cells*q], n.flg[:cells])
+		if whole {
+			n.lats[dst].UnpackLayer(opposite(face), buf, n.flg[:cells])
+		} else {
+			n.lats[dst].UnpackFace(opposite(face), buf, n.flg[:cells])
+		}
 		return
 	}
-	n.c.Send(n.owner[dst], haloTag(dst, face), cloneFaceMsg(n.buf[:cells*q], n.flg[:cells]))
+	n.c.Send(n.owner[dst], haloTag(dst, face), cloneFaceMsg(buf, n.flg[:cells]))
+}
+
+// wholeCells reports whether a face's exchange moves whole cells: the z
+// exchange runs before the face conditions, which read z halo cells as
+// inner neighbours (the rule PeriodicAxis follows); x and y move only
+// the populations that cross the face.
+func wholeCells(face core.Face) bool {
+	return face == core.FaceZMin || face == core.FaceZMax
 }
 
 // absorb receives the face of patch src into patch dst's halo when dst
@@ -507,7 +526,12 @@ func (n *node) absorb(src, dst int, face core.Face) {
 	m := n.c.Recv(n.owner[src], haloTag(dst, face))
 	ld := n.lats[dst]
 	cells := ld.FaceCells(opposite(face))
-	ld.UnpackFace(opposite(face), m.Data, decodeFlags(m.Aux, n.rfl[:cells]))
+	flags := decodeFlags(m.Aux, n.rfl[:cells])
+	if wholeCells(face) {
+		ld.UnpackLayer(opposite(face), m.Data, flags)
+	} else {
+		ld.UnpackFace(opposite(face), m.Data, flags)
+	}
 }
 
 func cloneFaceMsg(data []float64, flags []core.CellType) mpi.Message {

@@ -52,10 +52,12 @@ type Options struct {
 	Init func(gx, gy, gz int) (rho, ux, uy, uz float64)
 	// OnTheFly selects the overlapped halo-exchange scheme.
 	OnTheFly bool
-	// Kernel selects the local compute kernel: "" or "fused" is the
-	// double-buffer pull kernel, "aa" the in-place AA-pattern kernel
-	// (single distribution array, both storage phases handled
-	// transparently by the halo exchange and checkpoint paths).
+	// Kernel selects the local compute kernel: "" (the default) is the
+	// in-place AA-pattern kernel (single distribution array, both
+	// storage phases handled by the halo tables and checkpoint paths) —
+	// except for ranks driven by a custom Stepper, which keep the A–B
+	// double buffer their engines model; "fused" forces the A–B
+	// double-buffer pull kernel (the differential reference).
 	Kernel string
 	// Restore, if non-nil, initialises each rank's sub-block from this
 	// global lattice (e.g. one read back by swio.ReadCheckpoint),
@@ -119,11 +121,19 @@ type Solver struct {
 	simCursor float64
 	lastSimDt float64
 
-	// Scratch exchange buffers, reused across steps (messages are
-	// cloned before handing to the transport).
-	sendX, sendY [2][]float64
-	flagX, flagY [2][]core.CellType
-	rflX, rflY   [2][]core.CellType
+	// Halo exchange buffers, reused across steps: send[axis][side]
+	// [parity] holds the packed face (side 0 = minus, 1 = plus) of
+	// steps of that parity. The transport passes references, and a
+	// neighbour unpacks step k's message before it sends its step k+1
+	// message, which this rank must receive before it packs step k+2 —
+	// so two buffers alternating by step parity are never overwritten
+	// while a neighbour still reads them.
+	send [2][2][2][]float64
+	// flags[axis] is the flag scratch of the first exchange: cell flags
+	// travel only then (geometry is static), and a restore builds a new
+	// Solver, which sends them again.
+	flags     [2][]core.CellType
+	flagsSent bool
 
 	// resil is the snapshot-collective scratch (see resil.go), reused
 	// across captures so steady-state waves allocate nothing.
@@ -156,13 +166,15 @@ func New(c *mpi.Comm, opts Options) (*Solver, error) {
 	lat.Smagorinsky = opts.Smagorinsky
 	lat.Force = opts.Force
 	switch opts.Kernel {
-	case "", "fused":
-	case "aa":
-		// Convert before any restore so the phase-aware writes land in
-		// the layout the stepper will read.
-		lat.EnableAA()
+	case "fused":
+	case "":
+		if opts.Stepper == nil {
+			// Convert before any restore so the phase-aware writes
+			// land in the layout the stepper will read.
+			lat.EnableAA()
+		}
 	default:
-		return nil, fmt.Errorf("psolve: unknown kernel %q (want \"fused\" or \"aa\")", opts.Kernel)
+		return nil, fmt.Errorf("psolve: unknown kernel %q (want \"\" or \"fused\")", opts.Kernel)
 	}
 
 	s := &Solver{Opts: opts, Comm: c, Cart: cart, Block: blk, Lat: lat, tr: c.Trace()}
@@ -250,16 +262,14 @@ func (s *Solver) collectBCs() {
 }
 
 func (s *Solver) allocBuffers() {
-	q := s.Lat.Desc.Q
-	nx := s.Lat.FaceCells(core.FaceXMin)
-	ny := s.Lat.FaceCells(core.FaceYMin)
-	for i := 0; i < 2; i++ {
-		s.sendX[i] = make([]float64, q*nx)
-		s.flagX[i] = make([]core.CellType, nx)
-		s.rflX[i] = make([]core.CellType, nx)
-		s.sendY[i] = make([]float64, q*ny)
-		s.flagY[i] = make([]core.CellType, ny)
-		s.rflY[i] = make([]core.CellType, ny)
+	for axis, f := range [2]core.Face{core.FaceXMin, core.FaceYMin} {
+		n := s.Lat.WireLen(f)
+		for side := 0; side < 2; side++ {
+			for p := 0; p < 2; p++ {
+				s.send[axis][side][p] = make([]float64, n)
+			}
+		}
+		s.flags[axis] = make([]core.CellType, s.Lat.FaceCells(f))
 	}
 }
 
@@ -275,53 +285,102 @@ func (s *Solver) applyLocalBCs() {
 	}
 }
 
+// axisPeers describes one decomposed axis' exchange: its faces, the
+// neighbour ranks (-1 at a non-periodic global face) and the message
+// tags, by side (0 = minus, 1 = plus).
+type axisPeers struct {
+	face                 [2]core.Face
+	peer, tagTo, tagFrom [2]int
+}
+
+func (s *Solver) peers(axis int) axisPeers {
+	if axis == 0 {
+		return axisPeers{
+			face:    [2]core.Face{core.FaceXMin, core.FaceXMax},
+			peer:    [2]int{s.Cart.Neighbor(-1, 0), s.Cart.Neighbor(1, 0)},
+			tagTo:   [2]int{tagXMinus, tagXPlus},
+			tagFrom: [2]int{tagXPlus, tagXMinus},
+		}
+	}
+	return axisPeers{
+		face:    [2]core.Face{core.FaceYMin, core.FaceYMax},
+		peer:    [2]int{s.Cart.Neighbor(0, -1), s.Cart.Neighbor(0, 1)},
+		tagTo:   [2]int{tagYMinus, tagYPlus},
+		tagFrom: [2]int{tagYPlus, tagYMinus},
+	}
+}
+
+// local reports whether the axis wraps onto this rank itself (periodic
+// with one rank along it), which is a local whole-cell wrap, not an
+// exchange.
+func (s *Solver) local(ap axisPeers) bool {
+	me := s.Comm.Rank()
+	return ap.peer[0] == me && ap.peer[1] == me
+}
+
+// sendFaces packs and sends both faces of one axis: plus side first,
+// then minus. Only the populations crossing each face travel, from this
+// step's parity buffer; the first exchange also carries the face's cell
+// flags.
+//
+//lbm:hot
+func (s *Solver) sendFaces(axis int, ap axisPeers) {
+	p := s.Lat.Step() & 1
+	for i := 0; i < 2; i++ {
+		side := 1 - i
+		dst := ap.peer[side]
+		if dst < 0 {
+			continue
+		}
+		buf := s.send[axis][side][p]
+		var flg []core.CellType
+		if !s.flagsSent {
+			flg = s.flags[axis]
+		}
+		s.Lat.PackFace(ap.face[side], buf, flg)
+		m := mpi.Message{Data: buf}
+		if flg != nil {
+			m.Aux = encodeFlags(flg)
+		}
+		s.Comm.Send(dst, ap.tagTo[side], m)
+	}
+}
+
+// recvFaces receives and unpacks both faces of one axis, minus side
+// first.
+//
+//lbm:hot
+func (s *Solver) recvFaces(axis int, ap axisPeers) {
+	for side := 0; side < 2; side++ {
+		src := ap.peer[side]
+		if src < 0 {
+			continue
+		}
+		m := s.Comm.Recv(src, ap.tagFrom[side])
+		var flg []core.CellType
+		if m.Aux != nil {
+			flg = decodeFlags(m.Aux, s.flags[axis])
+		}
+		s.Lat.UnpackFace(ap.face[side], m.Data, flg)
+	}
+}
+
 // exchangeAxis swaps one axis' face layers with the two neighbours. When
 // the neighbour is this rank itself (periodic with one rank along the
 // axis), it short-circuits to a local periodic wrap.
+//
+//lbm:hot
 func (s *Solver) exchangeAxis(axis int) {
-	var minusFace, plusFace core.Face
-	var send [2][]float64
-	var flg, rfl [2][]core.CellType
-	var tagToPlus, tagToMinus int
-	var dm, dp int
-	if axis == 0 {
-		minusFace, plusFace = core.FaceXMin, core.FaceXMax
-		send, flg, rfl = s.sendX, s.flagX, s.rflX
-		tagToPlus, tagToMinus = tagXPlus, tagXMinus
-		dm, dp = s.Cart.Neighbor(-1, 0), s.Cart.Neighbor(1, 0)
-	} else {
-		minusFace, plusFace = core.FaceYMin, core.FaceYMax
-		send, flg, rfl = s.sendY, s.flagY, s.rflY
-		tagToPlus, tagToMinus = tagYPlus, tagYMinus
-		dm, dp = s.Cart.Neighbor(0, -1), s.Cart.Neighbor(0, 1)
-	}
-	me := s.Comm.Rank()
-	if dm == me && dp == me {
-		// Single rank along this axis with periodic wrap.
+	ap := s.peers(axis)
+	if s.local(ap) {
 		s.Lat.PeriodicAxis(axis)
 		return
 	}
 	if s.tr != nil {
 		defer s.tr.Scope(trace.TrackMPI, haloName(axis))()
 	}
-	var reqs []*mpi.Request
-	if dp >= 0 {
-		s.Lat.PackFace(plusFace, send[1], flg[1])
-		reqs = append(reqs, s.Comm.Isend(dp, tagToPlus, cloneMsg(send[1], flg[1])))
-	}
-	if dm >= 0 {
-		s.Lat.PackFace(minusFace, send[0], flg[0])
-		reqs = append(reqs, s.Comm.Isend(dm, tagToMinus, cloneMsg(send[0], flg[0])))
-	}
-	if dm >= 0 {
-		m := s.Comm.Recv(dm, tagToPlus)
-		s.Lat.UnpackFace(minusFace, m.Data, decodeFlags(m.Aux, rfl[0]))
-	}
-	if dp >= 0 {
-		m := s.Comm.Recv(dp, tagToMinus)
-		s.Lat.UnpackFace(plusFace, m.Data, decodeFlags(m.Aux, rfl[1]))
-	}
-	mpi.WaitAll(reqs...)
+	s.sendFaces(axis, ap)
+	s.recvFaces(axis, ap)
 }
 
 // haloName labels a halo-exchange span by decomposed axis.
@@ -332,15 +391,14 @@ func haloName(axis int) string {
 	return "halo-y"
 }
 
-// cloneMsg copies the pack buffers into a fresh message (the scratch
-// buffers are reused every step, and the transport passes references).
-func cloneMsg(data []float64, flags []core.CellType) mpi.Message {
-	d := append([]float64(nil), data...)
+// encodeFlags and decodeFlags carry cell flags in a message's byte
+// sidecar; they run on the first exchange only.
+func encodeFlags(flags []core.CellType) []byte {
 	a := make([]byte, len(flags))
 	for i, f := range flags {
 		a[i] = byte(f)
 	}
-	return mpi.Message{Data: d, Aux: a}
+	return a
 }
 
 func decodeFlags(aux []byte, out []core.CellType) []core.CellType {
@@ -348,62 +406,6 @@ func decodeFlags(aux []byte, out []core.CellType) []core.CellType {
 		out[i] = core.CellType(aux[i])
 	}
 	return out
-}
-
-// exchangeAsync starts the sends of one axis and returns the pending
-// receives; used by the on-the-fly scheme to overlap with computation.
-func (s *Solver) exchangeAsyncStart(axis int) (recvM, recvP *mpi.Request, dm, dp int) {
-	var minusFace, plusFace core.Face
-	var send [2][]float64
-	var flg [2][]core.CellType
-	var tagToPlus, tagToMinus int
-	if axis == 0 {
-		minusFace, plusFace = core.FaceXMin, core.FaceXMax
-		send, flg = s.sendX, s.flagX
-		tagToPlus, tagToMinus = tagXPlus, tagXMinus
-		dm, dp = s.Cart.Neighbor(-1, 0), s.Cart.Neighbor(1, 0)
-	} else {
-		minusFace, plusFace = core.FaceYMin, core.FaceYMax
-		send, flg = s.sendY, s.flagY
-		tagToPlus, tagToMinus = tagYPlus, tagYMinus
-		dm, dp = s.Cart.Neighbor(0, -1), s.Cart.Neighbor(0, 1)
-	}
-	me := s.Comm.Rank()
-	if dm == me && dp == me {
-		s.Lat.PeriodicAxis(axis)
-		return nil, nil, -1, -1
-	}
-	if dp >= 0 {
-		s.Lat.PackFace(plusFace, send[1], flg[1])
-		s.Comm.Isend(dp, tagToPlus, cloneMsg(send[1], flg[1]))
-		recvP = s.Comm.Irecv(dp, tagToMinus)
-	}
-	if dm >= 0 {
-		s.Lat.PackFace(minusFace, send[0], flg[0])
-		s.Comm.Isend(dm, tagToMinus, cloneMsg(send[0], flg[0]))
-		recvM = s.Comm.Irecv(dm, tagToPlus)
-	}
-	return recvM, recvP, dm, dp
-}
-
-func (s *Solver) exchangeAsyncFinish(axis int, recvM, recvP *mpi.Request) {
-	var minusFace, plusFace core.Face
-	var rfl [2][]core.CellType
-	if axis == 0 {
-		minusFace, plusFace = core.FaceXMin, core.FaceXMax
-		rfl = s.rflX
-	} else {
-		minusFace, plusFace = core.FaceYMin, core.FaceYMax
-		rfl = s.rflY
-	}
-	if recvM != nil {
-		m := recvM.Wait()
-		s.Lat.UnpackFace(minusFace, m.Data, decodeFlags(m.Aux, rfl[0]))
-	}
-	if recvP != nil {
-		m := recvP.Wait()
-		s.Lat.UnpackFace(plusFace, m.Data, decodeFlags(m.Aux, rfl[1]))
-	}
 }
 
 // Step advances the distributed simulation by one time step.
@@ -448,6 +450,7 @@ func (s *Solver) stepWithStepper() {
 	s.tracedBCs()
 	s.exchangeAxis(0)
 	s.exchangeAxis(1)
+	s.flagsSent = true
 	if s.stepperFresh {
 		// The first exchange may have imported wall flags from the
 		// neighbours and the boundary conditions; refresh the
@@ -477,10 +480,13 @@ func (s *Solver) tracedBCs() {
 
 // stepSequential is the original scheme of Fig. 6(1): halo exchange fully
 // completes, then the whole subdomain is computed.
+//
+//lbm:hot
 func (s *Solver) stepSequential() {
 	s.tracedBCs()
 	s.exchangeAxis(0)
 	s.exchangeAxis(1)
+	s.flagsSent = true
 	var done func()
 	if s.tr != nil {
 		done = s.tr.Scope(trace.TrackStep, "compute")
@@ -495,11 +501,20 @@ func (s *Solver) stepSequential() {
 // (which depends on no x/y halo) is computed while the halo exchange is in
 // flight; the boundary strips follow once the halo has arrived. The final
 // state is bit-identical to stepSequential.
+//
+//lbm:hot
 func (s *Solver) stepOnTheFly() {
 	s.tracedBCs()
 	l := s.Lat
-	// Start the x exchange.
-	rxm, rxp, _, _ := s.exchangeAsyncStart(0)
+	// Start the x exchange: the sends leave now (the transport buffers
+	// them); the receives wait until after the inner region.
+	xp := s.peers(0)
+	xLocal := s.local(xp)
+	if xLocal {
+		l.PeriodicAxis(0)
+	} else {
+		s.sendFaces(0, xp)
+	}
 	// Inner region: cells whose 1-neighbourhood stays inside the
 	// interior, i.e. x∈[1,NX-1), y∈[1,NY-1).
 	if l.NX > 2 && l.NY > 2 {
@@ -518,9 +533,12 @@ func (s *Solver) stepOnTheFly() {
 		if s.tr != nil {
 			defer s.tr.Scope(trace.TrackMPI, "halo-x-wait")()
 		}
-		s.exchangeAsyncFinish(0, rxm, rxp)
+		if !xLocal {
+			s.recvFaces(0, xp)
+		}
 	}()
 	s.exchangeAxis(1)
+	s.flagsSent = true
 	// Boundary strips.
 	var done func()
 	if s.tr != nil {

@@ -54,5 +54,6 @@ func RestoreInto(lat *core.Lattice, s *Snapshot) error {
 			}
 		}
 	}
+	lat.FlagsChanged()
 	return nil
 }

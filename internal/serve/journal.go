@@ -80,16 +80,18 @@ type pendingJob struct {
 }
 
 // replayJournal reads a journal and returns the jobs that never reached
-// a terminal state (in submit order) plus the count of records
-// replayed. A truncated final line — the crash happened mid-append — is
+// a terminal state (in submit order), the count of records replayed and
+// the highest job number the journal mentions (finished jobs included:
+// their IDs, and the drain checkpoints keyed by them, must never be
+// reissued). A truncated final line — the crash happened mid-append — is
 // tolerated: everything before it is intact by construction.
-func replayJournal(path string) (pending []pendingJob, replayed int, err error) {
+func replayJournal(path string) (pending []pendingJob, replayed, lastID int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, 0, nil
+			return nil, 0, 0, nil
 		}
-		return nil, 0, fmt.Errorf("serve: opening journal for replay: %w", err)
+		return nil, 0, 0, fmt.Errorf("serve: opening journal for replay: %w", err)
 	}
 	defer f.Close()
 
@@ -112,6 +114,10 @@ func replayJournal(path string) (pending []pendingJob, replayed int, err error) 
 			break
 		}
 		replayed++
+		var n int
+		if _, serr := fmt.Sscanf(e.ID, "j%06d", &n); serr == nil && n > lastID {
+			lastID = n
+		}
 		switch e.Op {
 		case "submit":
 			if e.Spec != nil {
@@ -129,5 +135,5 @@ func replayJournal(path string) (pending []pendingJob, replayed int, err error) 
 			pending = append(pending, pendingJob{ID: id, Spec: r.spec})
 		}
 	}
-	return pending, replayed, nil
+	return pending, replayed, lastID, nil
 }

@@ -40,7 +40,7 @@ func TestJournalReplayTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	pending, replayed, err := replayJournal(path)
+	pending, replayed, _, err := replayJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestJournalReplayTornTail(t *testing.T) {
 
 // TestJournalReplayMissing: no journal file means a clean first start.
 func TestJournalReplayMissing(t *testing.T) {
-	pending, replayed, err := replayJournal(filepath.Join(t.TempDir(), "nope.journal"))
+	pending, replayed, _, err := replayJournal(filepath.Join(t.TempDir(), "nope.journal"))
 	if err != nil || len(pending) != 0 || replayed != 0 {
 		t.Fatalf("fresh start: pending=%v replayed=%d err=%v", pending, replayed, err)
 	}
@@ -82,7 +82,7 @@ func TestJournalTerminalOps(t *testing.T) {
 	jl.append(journalEntry{Op: "shed", ID: "j000004"})
 	jl.close()
 
-	pending, _, err := replayJournal(path)
+	pending, _, _, err := replayJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sunwaylb/internal/config"
 	"sunwaylb/internal/conform"
 	"sunwaylb/internal/swio"
 )
@@ -126,5 +127,45 @@ func TestJournalReplayRestart(t *testing.T) {
 	if lat2.Step() < drainStep {
 		t.Errorf("second drain checkpoint at step %d regressed below the first (%d): resume went back to zero",
 			lat2.Step(), drainStep)
+	}
+}
+
+// TestRestartNeverReusesFinishedIDs restarts a daemon over a journal
+// that holds only finished jobs — one of which left its disk checkpoint
+// behind — and submits a job of a different size. The new job must get
+// an ID the journal never mentioned (reusing a finished job's ID would
+// resume it from that job's checkpoint and fail on the size mismatch)
+// and run to completion.
+func TestRestartNeverReusesFinishedIDs(t *testing.T) {
+	dir := t.TempDir()
+	s1 := testServer(t, Config{Workers: 1, DataDir: dir})
+	old := smallCase("finished", 8)
+	old.CheckpointEvery = 4
+	j1, err := s1.Submit(JobSpec{Tenant: "t", Case: old, Decomp: "2x1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, j1); st.State != StateDone {
+		t.Fatalf("first job finished %s: %s", st.State, st.Error)
+	}
+	if err := s1.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := swio.Restart(filepath.Join(dir, j1.ID+".cpk")); err != nil {
+		t.Fatalf("finished job left no checkpoint to collide with: %v", err)
+	}
+
+	s2 := testServer(t, Config{Workers: 1, DataDir: dir})
+	defer s2.Drain(context.Background())
+	next := config.Case{Name: "after-restart", NX: 10, NY: 8, NZ: 6, Tau: 0.7, Steps: 6}
+	j2, err := s2.Submit(JobSpec{Tenant: "t", Case: next, Decomp: "2x1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j2.ID == j1.ID {
+		t.Fatalf("restarted daemon reissued finished job ID %s", j1.ID)
+	}
+	if st := waitJob(t, j2); st.State != StateDone {
+		t.Fatalf("job %s after restart finished %s: %s", j2.ID, st.State, st.Error)
 	}
 }

@@ -282,6 +282,7 @@ func (s *Server) supervisePatchJob(ctx context.Context, j *Job) (*core.MacroFiel
 		rec.HotSwaps = pst.Recoveries
 		rec.DiskRollbacks = pst.Restarts
 		rec.Restarts = pst.Recoveries + pst.Restarts
+		rec.SnapshotBytes = pst.SnapshotBytes
 		s.mu.Lock()
 		s.patchJobs++
 		s.patchMigrations += int64(pst.Migrations)

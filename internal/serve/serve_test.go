@@ -345,3 +345,24 @@ func TestDeadlineWhileQueued(t *testing.T) {
 	s.Cancel(blocker.ID)
 	waitJob(t, blocker)
 }
+
+// TestPatchJobReportsSnapshotBytes: a patch job taking L1–L3 snapshot
+// waves reports the bytes it deposited per level, like a psolve job.
+func TestPatchJobReportsSnapshotBytes(t *testing.T) {
+	s := testServer(t, Config{Workers: 1})
+	defer s.Drain(context.Background())
+	j, err := s.Submit(JobSpec{Tenant: "pat", Case: smallCase("patch-snap", 8),
+		Decomp: "patch2", Levels: "123", SnapshotEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, j); st.State != StateDone {
+		t.Fatalf("patch job finished %s: %s", st.State, st.Error)
+	}
+	b := j.Stats().SnapshotBytes
+	for l := 0; l < 3; l++ {
+		if b[l] <= 0 {
+			t.Errorf("L%d snapshot bytes = %d, want > 0 (all: %v)", l+1, b[l], b)
+		}
+	}
+}

@@ -146,7 +146,7 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: creating data dir: %w", err)
 	}
 	jpath := filepath.Join(cfg.DataDir, "jobs.journal")
-	pending, replayed, err := replayJournal(jpath)
+	pending, replayed, lastID, err := replayJournal(jpath)
 	if err != nil {
 		return nil, err
 	}
@@ -168,6 +168,7 @@ func NewServer(cfg Config) (*Server, error) {
 		rootCtx:    ctx,
 		rootCancel: cancel,
 		jobs:       make(map[string]*Job),
+		nextID:     lastID,
 		latency:    perf.NewMonitor(0),
 	}
 	for i := 0; i < cfg.Shards; i++ {
@@ -184,13 +185,7 @@ func NewServer(cfg Config) (*Server, error) {
 	// Re-admit interrupted work under its original IDs (drain checkpoints
 	// are keyed by ID). Journal records already exist for these jobs, so
 	// enqueueJob is told not to append fresh submit records; the ID
-	// counter is advanced past every replayed ID first.
-	for i := range pending {
-		var n int
-		if _, serr := fmt.Sscanf(pending[i].ID, "j%06d", &n); serr == nil && n > s.nextID {
-			s.nextID = n
-		}
-	}
+	// counter already starts past every journaled ID, finished or not.
 	for i := range pending {
 		if _, rerr := s.enqueueJob(pending[i].Spec, pending[i].ID); rerr != nil {
 			s.logf("serve: journal replay: dropping job %s (%q): %v",

@@ -96,11 +96,21 @@ func WriteCheckpoint(w io.Writer, l *core.Lattice) error {
 		return fmt.Errorf("swio: writing checkpoint flags CRC: %w", err)
 	}
 
-	// Populations record: the current buffer + CRC32-C.
+	// Populations record: the current buffer in the natural layout
+	// (population i of cell idx at i*N+idx) + CRC32-C. An AA lattice at
+	// odd parity stores the reversed-shifted layout; its logical
+	// populations are written through PopIndex, so the file reads back
+	// into any lattice and EnableAA at the recorded (odd) step restores
+	// the exact in-memory state.
 	crc.Reset()
 	mw = io.MultiWriter(bw, crc)
 	buf := make([]byte, 8)
-	for _, v := range l.Src() {
+	src := l.Src()
+	odd := l.AA() && l.Step()&1 == 1
+	for k, v := range src[:l.Desc.Q*l.N] {
+		if odd {
+			v = src[l.PopIndex(k/l.N, k%l.N)]
+		}
 		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
 		if _, err := mw.Write(buf); err != nil {
 			return fmt.Errorf("swio: writing checkpoint populations: %w", err)

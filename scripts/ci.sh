@@ -43,12 +43,14 @@
 #             kill owners mid-run), the mixed-backend conformance slice
 #             with mid-run migrations, and the hotalloc/spanpair static
 #             rules over the patch code
-#   perf    — AA-kernel performance-critical contracts: the AA conform
-#             slice (serial/blocked/pool backends MaxULP=0 against the
-#             reference at both storage parities), the race-checked
-#             worker-pool soak plus the AVX-512 row kernel's bitwise
-#             equivalence tests, and the memtraffic/hotalloc/goleak
-#             static budgets over the kernel and resilience code
+#   perf    — AA-kernel performance-critical contracts: the AA and
+#             psolve conform slice (serial/blocked/pool and distributed
+#             backends MaxULP=0 against the reference at both storage
+#             parities), the race-checked worker-pool soak plus the
+#             AVX-512 row kernel's bitwise equivalence tests, the
+#             zero-allocation distributed step, and the
+#             memtraffic/hotalloc/goleak static budgets over the kernel,
+#             halo, boundary, psolve and resilience code
 #   bench   — refresh BENCH_results.json from the measured benchmark
 #             cases so every CI run extends the perf trajectory; when a
 #             committed baseline exists, the fused-kernel MLUPS must not
@@ -115,20 +117,24 @@ bench() {
 
 perf() {
     echo "== perf: AA kernel conformance + pool soak + static budgets =="
-    # AA backends (serial, cache-blocked, worker pool) must stay
-    # bit-identical (MaxULP=0) to the serial reference at every storage
-    # parity, and the parity metamorphic property must hold.
-    go run ./cmd/conform -seed 1 -cases 10 -run 'core/aa|psolve/2x2-aa|prop/aa-parity'
+    # AA backends (serial, cache-blocked, worker pool) and every psolve
+    # backend (AA ranks by default, the explicit A–B "fused" ranks) must
+    # stay bit-identical (MaxULP=0) to the serial reference at every
+    # storage parity, and the parity metamorphic property must hold.
+    go run ./cmd/conform -seed 1 -cases 10 -run 'core/aa|psolve/|prop/aa-parity'
     # Race-checked AA suite: pool soak, step/blocked/pool bit-identity,
     # parity-aware halo pack/unpack, and (on capable hardware) the
     # AVX-512 row kernel's bitwise equivalence to the scalar canon.
     go test -race -count=1 -timeout 600s \
-        -run 'TestAA|TestPool|TestPack|TestPeriodic' ./internal/core
+        -run 'TestAA|TestPool|TestPack|TestPeriodic|TestRowCache' ./internal/core
+    # A steady-state distributed step allocates nothing (measured without
+    # the race detector, whose instrumentation allocates).
+    go test -count=1 -run 'TestStepSteadyStateAllocatesNothing' ./internal/psolve
     # Static budgets over the performance-critical code: per-cell memory
-    # traffic of every //lbm:hot kernel, no hot-loop allocations, no
-    # leaked worker goroutines.
+    # traffic of every //lbm:hot kernel and halo copy, no hot-loop
+    # allocations, no leaked worker goroutines.
     go run ./cmd/lbmvet -rules memtraffic,hotalloc,goleak \
-        ./internal/core ./internal/resil
+        ./internal/core ./internal/resil ./internal/psolve ./internal/boundary
 }
 
 analyze() {
